@@ -241,10 +241,33 @@ fn eval(args: &[String]) -> Result<String, CliError> {
     let path = args
         .first()
         .ok_or_else(|| CliError::Usage(USAGE.to_owned()))?;
-    let folds: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(5);
+    let folds = match args.get(1) {
+        None => 5,
+        Some(s) => match s.parse::<usize>() {
+            Ok(k) if k >= 2 => k,
+            _ => {
+                return Err(CliError::Usage(format!(
+                    "`{s}` is not a fold count (need an integer of at least 2)\n\n{USAGE}"
+                )))
+            }
+        },
+    };
     let records = load_dataset(path)?;
     let codes: Vec<&[u8]> = records.iter().map(|r| r.bytecode.as_slice()).collect();
     let labels: Vec<usize> = records.iter().map(|r| r.label.as_index()).collect();
+    // Stratification deals every class across all folds.
+    let phishing = labels.iter().filter(|&&y| y == 1).count();
+    let smallest = [phishing, labels.len() - phishing]
+        .into_iter()
+        .filter(|&n| n > 0)
+        .min()
+        .unwrap_or(0);
+    if smallest < folds {
+        return Err(CliError::Usage(format!(
+            "{folds} folds need at least {folds} contracts per class; the smallest class \
+             in `{path}` has {smallest}\n\n{USAGE}"
+        )));
+    }
     let splits = stratified_kfold(&labels, folds, 7);
 
     let mut out = format!(
@@ -1091,6 +1114,36 @@ mod tests {
         // Unknown scenarios are usage errors that say so.
         let err = run(&args(&["generate", "40", csv_str, "--scenario", "mainnet"])).unwrap_err();
         assert!(err.to_string().contains("unknown scenario"), "{err}");
+    }
+
+    #[test]
+    fn eval_rejects_fold_counts_below_two() {
+        for k in ["0", "1"] {
+            let err = run(&args(&["eval", "/nonexistent/ds.csv", k])).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{k}: {err:?}");
+            assert!(err.to_string().contains("not a fold count"), "{err}");
+        }
+    }
+
+    #[test]
+    fn eval_rejects_non_numeric_fold_counts() {
+        for k in ["abc", "-3", "2.5", ""] {
+            let err = run(&args(&["eval", "/nonexistent/ds.csv", k])).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{k:?}: {err:?}");
+            assert!(err.to_string().contains(&format!("`{k}`")), "{err}");
+        }
+    }
+
+    #[test]
+    fn eval_rejects_more_folds_than_the_smallest_class() {
+        let dir = std::env::temp_dir().join("phishinghook-cli-test-folds");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let csv = dir.join("ds.csv");
+        let csv_str = csv.to_str().expect("utf8 path");
+        run(&args(&["generate", "12", csv_str])).expect("generates");
+        let err = run(&args(&["eval", csv_str, "100"])).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err:?}");
+        assert!(err.to_string().contains("smallest class"), "{err}");
     }
 
     #[test]

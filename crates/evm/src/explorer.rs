@@ -17,14 +17,17 @@
 //! them into model-ready feature rows.
 //!
 //! Execution is observational: each run starts from empty storage and a
-//! deterministic [`Env`], runs against any [`Host`] (the [`NullHost`] by
-//! default, or a chain-backed host for real callee state), and can never
-//! escape the budget — the interpreter's own gas and step limits bound every
-//! run, and the explorer never panics on arbitrary bytecode (fuzzed in this
-//! module's property tests).
+//! deterministic [`Env`](crate::interp::Env), runs against any [`Host`]
+//! (the [`NullHost`] by default, or a chain-backed host for real callee
+//! state), and can never escape the budget — the interpreter's own gas and
+//! step limits bound every run, and the explorer never panics on arbitrary
+//! bytecode (fuzzed in this module's property tests). The code is analysed
+//! once per exploration and every run reuses one interpreter's buffers, so
+//! an exploration costs its runs, not its runs times the code size.
 
+use crate::analysis::CodeAnalysis;
 use crate::host::{CallKind, CallOutcome, CallParams, Host, NullHost};
-use crate::interp::{Env, Halt, Interpreter, Status};
+use crate::interp::{ExecutionResult, Halt, Interpreter, Status};
 use crate::u256::U256;
 
 /// Budget and shape knobs for one exploration.
@@ -150,26 +153,11 @@ impl Trace {
 /// The pattern is a `PUSH4 <selector>` whose *next* instruction is `EQ`
 /// (covering the canonical `DUP1 PUSH4 … EQ JUMPI` emitted by solc and this
 /// repo's assembler, plus Vyper's `CALLDATALOAD PUSH4 … EQ` shape).
-/// Duplicates are dropped; order of first appearance is kept.
+/// Duplicates are dropped; order of first appearance is kept. This is the
+/// table the explorer runs, read from the same single pass over the code
+/// that finds its jump destinations.
 pub fn scan_selectors(code: &[u8]) -> Vec<[u8; 4]> {
-    let mut out: Vec<[u8; 4]> = Vec::new();
-    let mut pc = 0usize;
-    let reg = crate::opcode::ShanghaiRegistry::shared();
-    while pc < code.len() {
-        let byte = code[pc];
-        let imm = reg.get(byte).map_or(0, |i| usize::from(i.immediate_bytes));
-        if byte == 0x63 && pc + 4 < code.len() {
-            // PUSH4 with a full immediate; is the following opcode EQ?
-            if code.get(pc + 5) == Some(&0x14) {
-                let sel = [code[pc + 1], code[pc + 2], code[pc + 3], code[pc + 4]];
-                if !out.contains(&sel) {
-                    out.push(sel);
-                }
-            }
-        }
-        pc += 1 + imm;
-    }
-    out
+    CodeAnalysis::new(code).selectors().to_vec()
 }
 
 /// Records what one run touches, delegating state queries to an inner host.
@@ -260,44 +248,54 @@ impl Explorer {
         self.explore_with_host(code, &mut NullHost)
     }
 
-    /// Explores `code` with foreign state served by `host`: scans the
-    /// selector table, then executes each selector (argument words are a
-    /// deterministic nonzero pattern) and finally the fallback path.
+    /// Explores `code` with foreign state served by `host`: analyses the
+    /// code once (selector table and jump destinations), then executes each
+    /// selector (argument words are a deterministic nonzero pattern) and
+    /// finally the fallback path, all on one reused interpreter.
     pub fn explore_with_host(&self, code: &[u8], host: &mut dyn Host) -> Trace {
-        let selectors = scan_selectors(code);
-        let selectors_total = selectors.len();
+        let analysis = CodeAnalysis::new(code);
+        let selectors = analysis.selectors();
+        let mut interp = self.interpreter();
+        let caller = interp.env.caller.to_be_bytes();
         let mut runs = Vec::with_capacity(selectors.len().min(self.config.max_selectors) + 1);
         for sel in selectors.iter().take(self.config.max_selectors) {
             // selector ++ two argument words: the caller address (so
             // `transfer(address,…)`-shaped functions see a plausible
             // recipient) and a small nonzero amount.
-            let mut calldata = Vec::with_capacity(68);
+            let calldata = &mut interp.env.calldata;
+            calldata.clear();
             calldata.extend_from_slice(sel);
-            calldata.extend_from_slice(&Env::default().caller.to_be_bytes());
-            calldata.extend_from_slice(&U256::from_u64(1).to_be_bytes());
-            runs.push(self.run_one(code, host, Some(*sel), &calldata));
+            calldata.extend_from_slice(&caller);
+            calldata.extend_from_slice(&U256::ONE.to_be_bytes());
+            runs.push(Self::run_one(&mut interp, &analysis, host, Some(*sel)));
         }
-        runs.push(self.run_one(code, host, None, &[]));
+        interp.env.calldata.clear();
+        runs.push(Self::run_one(&mut interp, &analysis, host, None));
         Trace {
-            selectors_total,
+            selectors_total: selectors.len(),
             runs,
         }
     }
 
-    fn run_one(
-        &self,
-        code: &[u8],
-        host: &mut dyn Host,
-        selector: Option<[u8; 4]>,
-        calldata: &[u8],
-    ) -> SelectorRun {
+    /// The interpreter every run of one exploration shares: the default
+    /// environment under this explorer's budgets.
+    fn interpreter(&self) -> Interpreter {
         let mut interp = Interpreter::new();
         interp.gas_limit = self.config.gas_per_run;
         interp.step_limit = self.config.steps_per_run;
-        interp.env.calldata = calldata.to_vec();
-        let caller = interp.env.caller;
-        let mut recorder = RecordingHost::new(host, caller);
-        let result = interp.run_with_host(code, &mut recorder);
+        interp
+    }
+
+    /// Executes one entry point with the calldata already in `interp.env`,
+    /// recording what it touches.
+    fn run_one(
+        interp: &mut Interpreter,
+        analysis: &CodeAnalysis<'_>,
+        host: &mut dyn Host,
+        selector: Option<[u8; 4]>,
+    ) -> SelectorRun {
+        let mut recorder = RecordingHost::new(host, interp.env.caller);
+        let result = Self::execute(interp, analysis, &mut recorder);
         SelectorRun {
             selector,
             status: result.status,
@@ -309,6 +307,17 @@ impl Explorer {
             sstores: recorder.sstores,
             logs: recorder.logs,
         }
+    }
+
+    /// One run on the shared interpreter. Every run starts from empty
+    /// storage, as if on a fresh interpreter.
+    fn execute(
+        interp: &mut Interpreter,
+        analysis: &CodeAnalysis<'_>,
+        host: &mut dyn Host,
+    ) -> ExecutionResult {
+        interp.storage.clear();
+        interp.run_analysed(analysis, host)
     }
 }
 
@@ -489,6 +498,44 @@ mod fuzz {
     use super::*;
     use proptest::prelude::*;
 
+    /// Turns a draw into one instruction from a small, mostly valid
+    /// vocabulary (short pushes, arithmetic, calldata, memory, storage,
+    /// jumps, calls, logs and terminators), so random programs run for a
+    /// while instead of halting at their first byte.
+    fn instruction(draw: u16) -> Vec<u8> {
+        const OPS: [u8; 20] = [
+            0x01, 0x14, 0x15, 0x33, 0x35, 0x36, 0x37, 0x3D, 0x51, 0x52, 0x54, 0x55, 0x56, 0x57,
+            0x5B, 0x80, 0x90, 0xA1, 0xF1, 0xF3,
+        ];
+        let [pick, raw] = draw.to_be_bytes();
+        match pick % 16 {
+            0..=8 => vec![0x60, raw % 64],
+            9 => vec![0xFD],
+            _ => vec![OPS[usize::from(raw) % OPS.len()]],
+        }
+    }
+
+    /// Runs `code` once per calldata on one shared interpreter and one
+    /// analysis, as the explorer does, and checks each result against a
+    /// fresh interpreter's `run_with_host`.
+    fn assert_reused_runs_agree(code: &[u8], calldatas: &[Vec<u8>]) {
+        let explorer = Explorer::new(ExplorerConfig {
+            gas_per_run: 30_000,
+            steps_per_run: 2_000,
+            max_selectors: 8,
+        });
+        let analysis = CodeAnalysis::new(code);
+        let mut shared = explorer.interpreter();
+        for calldata in calldatas {
+            shared.env.calldata.clone_from(calldata);
+            let reused = Explorer::execute(&mut shared, &analysis, &mut NullHost);
+            let mut fresh = explorer.interpreter();
+            fresh.env.calldata.clone_from(calldata);
+            let alone = fresh.run_with_host(code, &mut NullHost);
+            assert_eq!(reused, alone, "code {code:02x?} calldata {calldata:02x?}");
+        }
+    }
+
     proptest! {
         /// The explorer must never panic and always halt within budget on
         /// arbitrary bytecode — it runs inside the serving path.
@@ -523,6 +570,36 @@ mod fuzz {
             let r = interp.run_with_host(&code, &mut host);
             prop_assert!(r.steps <= 10_000);
             prop_assert!(r.gas_used <= 30_000);
+        }
+
+        /// The explorer's per-run path (one analysis, one interpreter
+        /// reused across runs) agrees with a fresh `run_with_host` on
+        /// arbitrary code and calldata.
+        #[test]
+        fn reused_runs_agree_with_fresh_runs_on_arbitrary_code(
+            code in proptest::collection::vec(any::<u8>(), 0..256),
+            calldatas in proptest::collection::vec(
+                proptest::collection::vec(any::<u8>(), 0..96),
+                1..5,
+            ),
+        ) {
+            assert_reused_runs_agree(&code, &calldatas);
+        }
+
+        /// The same agreement on programs that run for a while: memory,
+        /// storage, jumps, calls and logs rather than an early halt.
+        #[test]
+        fn reused_runs_agree_with_fresh_runs_on_programs(
+            draws in proptest::collection::vec(any::<u16>(), 0..160),
+            calldatas in proptest::collection::vec(
+                proptest::collection::vec(any::<u8>(), 0..96),
+                1..5,
+            ),
+        ) {
+            // A preamble of pushes gives the first instructions operands.
+            let mut code: Vec<u8> = (0..16).flat_map(|i| [0x60, 4 * i]).collect();
+            code.extend(draws.into_iter().flat_map(instruction));
+            assert_reused_runs_agree(&code, &calldatas);
         }
 
         /// Exploration is deterministic: same bytes, same trace.

@@ -20,6 +20,7 @@
 //! underflow/overflow, invalid jumps, invalid opcodes and gas exhaustion —
 //! the same halt conditions the paper's background section lists.
 
+use crate::analysis::CodeAnalysis;
 use crate::host::{CallKind, CallParams, Host, NullHost};
 use crate::keccak::keccak256;
 use crate::opcode::{Gas, ShanghaiRegistry};
@@ -146,6 +147,8 @@ pub struct Interpreter {
     pub gas_limit: u64,
     /// Safety valve: maximum instructions per run.
     pub step_limit: u64,
+    /// Stack, memory and return-data buffers, reused by the next run.
+    buffers: RunBuffers,
 }
 
 impl Default for Interpreter {
@@ -155,6 +158,7 @@ impl Default for Interpreter {
             storage: HashMap::new(),
             gas_limit: 10_000_000,
             step_limit: 1_000_000,
+            buffers: RunBuffers::default(),
         }
     }
 }
@@ -164,6 +168,16 @@ fn memory_cost(words: u64) -> u64 {
     3 * words + words * words / 512
 }
 
+/// The buffers one run fills: kept by the [`Interpreter`] between runs so a
+/// reused interpreter allocates them once.
+#[derive(Debug, Clone, Default)]
+struct RunBuffers {
+    stack: Vec<U256>,
+    memory: Vec<u8>,
+    /// Return data of the most recent completed call (empty before any).
+    returndata: Vec<u8>,
+}
+
 struct Machine {
     pc: usize,
     stack: Vec<U256>,
@@ -171,34 +185,39 @@ struct Machine {
     mem_words: u64,
     gas_left: u64,
     steps: u64,
-    jumpdests: Vec<bool>,
     /// Return data of the most recent completed call (empty before any).
     returndata: Vec<u8>,
 }
 
 impl Machine {
-    fn new(code: &[u8], gas: u64) -> Self {
-        // Valid jump destinations: JUMPDEST bytes not inside PUSH immediates.
-        let mut jumpdests = vec![false; code.len()];
-        let reg = ShanghaiRegistry::shared();
-        let mut pc = 0usize;
-        while pc < code.len() {
-            let b = code[pc];
-            if b == 0x5B {
-                jumpdests[pc] = true;
-            }
-            let imm = reg.get(b).map_or(0, |i| usize::from(i.immediate_bytes));
-            pc += 1 + imm;
-        }
+    /// A machine at pc 0 that runs on `buffers`, emptied.
+    fn new(gas: u64, buffers: RunBuffers) -> Self {
+        let RunBuffers {
+            mut stack,
+            mut memory,
+            mut returndata,
+        } = buffers;
+        stack.clear();
+        memory.clear();
+        returndata.clear();
+        stack.reserve(64);
         Machine {
             pc: 0,
-            stack: Vec::with_capacity(64),
-            memory: Vec::new(),
+            stack,
+            memory,
             mem_words: 0,
             gas_left: gas,
             steps: 0,
-            jumpdests,
-            returndata: Vec::new(),
+            returndata,
+        }
+    }
+
+    /// Hands the buffers back for the next run.
+    fn into_buffers(self) -> RunBuffers {
+        RunBuffers {
+            stack: self.stack,
+            memory: self.memory,
+            returndata: self.returndata,
         }
     }
 
@@ -276,98 +295,123 @@ impl Interpreter {
     /// Runs `code` with externals (`CALL` family, `BALANCE`, `EXTCODE*`)
     /// served by `host`. Observation hooks on the host fire as storage,
     /// log and `SELFDESTRUCT` opcodes execute.
-    #[allow(clippy::too_many_lines)]
     pub fn run_with_host(&mut self, code: &[u8], host: &mut dyn Host) -> ExecutionResult {
-        let reg = ShanghaiRegistry::shared();
-        let mut m = Machine::new(code, self.gas_limit);
-        let finish = |m: &Machine, status: Status, output: Vec<u8>| ExecutionResult {
+        self.run_analysed(&CodeAnalysis::new(code), host)
+    }
+
+    /// Runs already-analysed code. Callers that run one contract several
+    /// times (the dispatcher explorer) analyse it once and reuse this
+    /// interpreter, so neither the analysis nor the run buffers are redone.
+    pub(crate) fn run_analysed(
+        &mut self,
+        analysis: &CodeAnalysis<'_>,
+        host: &mut dyn Host,
+    ) -> ExecutionResult {
+        let mut m = Machine::new(self.gas_limit, std::mem::take(&mut self.buffers));
+        let (status, output) = self.execute(&mut m, analysis, host);
+        let result = ExecutionResult {
             status,
             gas_used: self.gas_limit - m.gas_left,
             steps: m.steps,
             output,
         };
+        self.buffers = m.into_buffers();
+        result
+    }
+
+    /// The fetch-execute loop: runs until a terminal opcode, a halt or the
+    /// end of the code, returning the terminal status and output.
+    #[allow(clippy::too_many_lines)]
+    fn execute(
+        &mut self,
+        m: &mut Machine,
+        analysis: &CodeAnalysis<'_>,
+        host: &mut dyn Host,
+    ) -> (Status, Vec<u8>) {
+        let reg = ShanghaiRegistry::shared();
+        let code = analysis.code();
 
         macro_rules! halt {
-            ($m:expr, $h:expr) => {
-                return finish(&$m, Status::Halted($h), Vec::new())
+            ($h:expr) => {
+                return (Status::Halted($h), Vec::new())
             };
         }
         macro_rules! try_or_halt {
-            ($m:expr, $e:expr) => {
+            ($e:expr) => {
                 match $e {
                     Ok(v) => v,
-                    Err(h) => halt!($m, h),
+                    Err(h) => halt!(h),
                 }
             };
         }
 
         while m.pc < code.len() {
             if m.steps >= self.step_limit {
-                halt!(m, Halt::StepLimit);
+                halt!(Halt::StepLimit);
             }
             m.steps += 1;
             let byte = code[m.pc];
             let Some(info) = reg.get(byte) else {
-                halt!(m, Halt::InvalidOpcode(byte));
+                halt!(Halt::InvalidOpcode(byte));
             };
             match info.gas {
-                Gas::Fixed(g) => try_or_halt!(m, m.charge(u64::from(g))),
-                Gas::Nan => halt!(m, Halt::InvalidOpcode(byte)),
+                Gas::Fixed(g) => try_or_halt!(m.charge(u64::from(g))),
+                Gas::Nan => halt!(Halt::InvalidOpcode(byte)),
             }
             if m.stack.len() < usize::from(info.stack_in) {
-                halt!(m, Halt::StackUnderflow);
+                halt!(Halt::StackUnderflow);
             }
 
             let mut next_pc = m.pc + 1 + usize::from(info.immediate_bytes);
             match byte {
-                0x00 => return finish(&m, Status::Success, Vec::new()), // STOP
+                0x00 => return (Status::Success, Vec::new()), // STOP
                 0x01..=0x1D => {
-                    let r = try_or_halt!(m, binary_alu(&mut m, byte));
-                    try_or_halt!(m, m.push(r));
+                    let r = try_or_halt!(binary_alu(m, byte));
+                    try_or_halt!(m.push(r));
                 }
                 0x20 => {
                     // SHA3
-                    let offset = try_or_halt!(m, m.pop());
-                    let len = try_or_halt!(m, m.pop());
+                    let offset = try_or_halt!(m.pop());
+                    let len = try_or_halt!(m.pop());
                     // Dynamic cost: 6 per word.
                     let words = (len.to_usize().unwrap_or(usize::MAX) as u64).div_ceil(32);
-                    try_or_halt!(m, m.charge(6 * words));
-                    let data = try_or_halt!(m, m.mem_read(offset, len));
-                    try_or_halt!(m, m.push(U256::from_be_bytes(&keccak256(&data))));
+                    try_or_halt!(m.charge(6 * words));
+                    let data = try_or_halt!(m.mem_read(offset, len));
+                    try_or_halt!(m.push(U256::from_be_bytes(&keccak256(&data))));
                 }
-                0x30 => try_or_halt!(m, m.push(self.env.address)),
+                0x30 => try_or_halt!(m.push(self.env.address)),
                 0x31 => {
                     // BALANCE: the host answers for foreign accounts; absent
                     // an answer, fall back to the environment's balance (the
                     // historical constant behavior).
-                    let who = try_or_halt!(m, m.pop());
+                    let who = try_or_halt!(m.pop());
                     let bal = host.balance(&who).unwrap_or(self.env.balance);
-                    try_or_halt!(m, m.push(bal));
+                    try_or_halt!(m.push(bal));
                 }
-                0x32 => try_or_halt!(m, m.push(self.env.origin)),
-                0x33 => try_or_halt!(m, m.push(self.env.caller)),
-                0x34 => try_or_halt!(m, m.push(self.env.callvalue)),
+                0x32 => try_or_halt!(m.push(self.env.origin)),
+                0x33 => try_or_halt!(m.push(self.env.caller)),
+                0x34 => try_or_halt!(m.push(self.env.callvalue)),
                 0x35 => {
                     // CALLDATALOAD
-                    let i = try_or_halt!(m, m.pop());
+                    let i = try_or_halt!(m.pop());
                     let mut word = [0u8; 32];
                     if let Some(start) = i.to_usize() {
                         for (k, byte) in word.iter_mut().enumerate() {
                             *byte = *self.env.calldata.get(start + k).unwrap_or(&0);
                         }
                     }
-                    try_or_halt!(m, m.push(U256::from_be_bytes(&word)));
+                    try_or_halt!(m.push(U256::from_be_bytes(&word)));
                 }
-                0x36 => try_or_halt!(m, m.push(U256::from_u64(self.env.calldata.len() as u64))),
+                0x36 => try_or_halt!(m.push(U256::from_u64(self.env.calldata.len() as u64))),
                 0x37 | 0x39 | 0x3E => {
                     // CALLDATACOPY / CODECOPY / RETURNDATACOPY
-                    let dst = try_or_halt!(m, m.pop());
-                    let src = try_or_halt!(m, m.pop());
-                    let len = try_or_halt!(m, m.pop());
+                    let dst = try_or_halt!(m.pop());
+                    let src = try_or_halt!(m.pop());
+                    let len = try_or_halt!(m.pop());
                     let n = len.to_usize().unwrap_or(usize::MAX);
-                    try_or_halt!(m, m.charge(3 * (n as u64).div_ceil(32)));
+                    try_or_halt!(m.charge(3 * (n as u64).div_ceil(32)));
                     if n > 0 {
-                        let dst_off = try_or_halt!(m, m.touch_memory(dst, len));
+                        let dst_off = try_or_halt!(m.touch_memory(dst, len));
                         let source: &[u8] = match byte {
                             0x37 => &self.env.calldata,
                             0x39 => code,
@@ -380,23 +424,23 @@ impl Interpreter {
                         }
                     }
                 }
-                0x38 => try_or_halt!(m, m.push(U256::from_u64(code.len() as u64))),
-                0x3A => try_or_halt!(m, m.push(self.env.gas_price)),
+                0x38 => try_or_halt!(m.push(U256::from_u64(code.len() as u64))),
+                0x3A => try_or_halt!(m.push(self.env.gas_price)),
                 0x3B => {
                     // EXTCODESIZE — the host's code store (empty = 0).
-                    let a = try_or_halt!(m, m.pop());
+                    let a = try_or_halt!(m.pop());
                     let size = host.code(&a).map_or(0, |c| c.len());
-                    try_or_halt!(m, m.push(U256::from_u64(size as u64)));
+                    try_or_halt!(m.push(U256::from_u64(size as u64)));
                 }
                 0x3C => {
                     // EXTCODECOPY — copy from the host's code store,
                     // zero-filling past the end (and for empty accounts).
-                    let a = try_or_halt!(m, m.pop());
-                    let dst = try_or_halt!(m, m.pop());
-                    let src = try_or_halt!(m, m.pop());
-                    let len = try_or_halt!(m, m.pop());
+                    let a = try_or_halt!(m.pop());
+                    let dst = try_or_halt!(m.pop());
+                    let src = try_or_halt!(m.pop());
+                    let len = try_or_halt!(m.pop());
                     if !len.is_zero() {
-                        let off = try_or_halt!(m, m.touch_memory(dst, len));
+                        let off = try_or_halt!(m.touch_memory(dst, len));
                         let n = len.to_usize().unwrap_or(0);
                         let ext = host.code(&a).unwrap_or_default();
                         let start = src.to_usize().unwrap_or(usize::MAX);
@@ -407,65 +451,65 @@ impl Interpreter {
                 }
                 0x3D => {
                     // RETURNDATASIZE — size of the last call's return buffer.
-                    try_or_halt!(m, m.push(U256::from_u64(m.returndata.len() as u64)));
+                    try_or_halt!(m.push(U256::from_u64(m.returndata.len() as u64)));
                 }
                 0x3F => {
                     // EXTCODEHASH — keccak of the host's code, 0 for empty
                     // accounts (close enough for exploration purposes).
-                    let a = try_or_halt!(m, m.pop());
+                    let a = try_or_halt!(m.pop());
                     let hash = match host.code(&a) {
                         Some(c) => U256::from_be_bytes(&keccak256(&c)),
                         None => U256::ZERO,
                     };
-                    try_or_halt!(m, m.push(hash));
+                    try_or_halt!(m.push(hash));
                 }
                 0x40 => {
-                    let _n = try_or_halt!(m, m.pop());
-                    try_or_halt!(m, m.push(U256::from_u64(0xB10C)));
+                    let _n = try_or_halt!(m.pop());
+                    try_or_halt!(m.push(U256::from_u64(0xB10C)));
                 }
-                0x41 => try_or_halt!(m, m.push(self.env.coinbase)),
-                0x42 => try_or_halt!(m, m.push(self.env.timestamp)),
-                0x43 => try_or_halt!(m, m.push(self.env.block_number)),
-                0x44 => try_or_halt!(m, m.push(self.env.prevrandao)),
-                0x45 => try_or_halt!(m, m.push(self.env.gas_limit)),
-                0x46 => try_or_halt!(m, m.push(self.env.chain_id)),
-                0x47 => try_or_halt!(m, m.push(self.env.balance)),
-                0x48 => try_or_halt!(m, m.push(self.env.base_fee)),
+                0x41 => try_or_halt!(m.push(self.env.coinbase)),
+                0x42 => try_or_halt!(m.push(self.env.timestamp)),
+                0x43 => try_or_halt!(m.push(self.env.block_number)),
+                0x44 => try_or_halt!(m.push(self.env.prevrandao)),
+                0x45 => try_or_halt!(m.push(self.env.gas_limit)),
+                0x46 => try_or_halt!(m.push(self.env.chain_id)),
+                0x47 => try_or_halt!(m.push(self.env.balance)),
+                0x48 => try_or_halt!(m.push(self.env.base_fee)),
                 0x50 => {
-                    try_or_halt!(m, m.pop());
+                    try_or_halt!(m.pop());
                 }
                 0x51 => {
                     // MLOAD
-                    let off = try_or_halt!(m, m.pop());
-                    let off_usize = try_or_halt!(m, m.touch_memory(off, U256::from_u64(32)));
+                    let off = try_or_halt!(m.pop());
+                    let off_usize = try_or_halt!(m.touch_memory(off, U256::from_u64(32)));
                     let word: [u8; 32] = m.memory[off_usize..off_usize + 32]
                         .try_into()
                         .expect("32 bytes");
-                    try_or_halt!(m, m.push(U256::from_be_bytes(&word)));
+                    try_or_halt!(m.push(U256::from_be_bytes(&word)));
                 }
                 0x52 => {
                     // MSTORE
-                    let off = try_or_halt!(m, m.pop());
-                    let val = try_or_halt!(m, m.pop());
-                    let off_usize = try_or_halt!(m, m.touch_memory(off, U256::from_u64(32)));
+                    let off = try_or_halt!(m.pop());
+                    let val = try_or_halt!(m.pop());
+                    let off_usize = try_or_halt!(m.touch_memory(off, U256::from_u64(32)));
                     m.memory[off_usize..off_usize + 32].copy_from_slice(&val.to_be_bytes());
                 }
                 0x53 => {
                     // MSTORE8
-                    let off = try_or_halt!(m, m.pop());
-                    let val = try_or_halt!(m, m.pop());
-                    let off_usize = try_or_halt!(m, m.touch_memory(off, U256::ONE));
+                    let off = try_or_halt!(m.pop());
+                    let val = try_or_halt!(m.pop());
+                    let off_usize = try_or_halt!(m.touch_memory(off, U256::ONE));
                     m.memory[off_usize] = val.to_be_bytes()[31];
                 }
                 0x54 => {
-                    let key = try_or_halt!(m, m.pop());
+                    let key = try_or_halt!(m.pop());
                     host.on_storage_read(m.pc, &key);
                     let v = self.storage.get(&key).copied().unwrap_or(U256::ZERO);
-                    try_or_halt!(m, m.push(v));
+                    try_or_halt!(m.push(v));
                 }
                 0x55 => {
-                    let key = try_or_halt!(m, m.pop());
-                    let val = try_or_halt!(m, m.pop());
+                    let key = try_or_halt!(m.pop());
+                    let val = try_or_halt!(m.pop());
                     host.on_storage_write(m.pc, &key);
                     if val.is_zero() {
                         self.storage.remove(&key);
@@ -475,41 +519,41 @@ impl Interpreter {
                 }
                 0x56 => {
                     // JUMP
-                    let dst = try_or_halt!(m, m.pop());
+                    let dst = try_or_halt!(m.pop());
                     match dst.to_usize() {
-                        Some(d) if d < code.len() && m.jumpdests[d] => next_pc = d,
-                        _ => halt!(m, Halt::InvalidJump),
+                        Some(d) if analysis.is_jumpdest(d) => next_pc = d,
+                        _ => halt!(Halt::InvalidJump),
                     }
                 }
                 0x57 => {
                     // JUMPI
-                    let dst = try_or_halt!(m, m.pop());
-                    let cond = try_or_halt!(m, m.pop());
+                    let dst = try_or_halt!(m.pop());
+                    let cond = try_or_halt!(m.pop());
                     if !cond.is_zero() {
                         match dst.to_usize() {
-                            Some(d) if d < code.len() && m.jumpdests[d] => next_pc = d,
-                            _ => halt!(m, Halt::InvalidJump),
+                            Some(d) if analysis.is_jumpdest(d) => next_pc = d,
+                            _ => halt!(Halt::InvalidJump),
                         }
                     }
                 }
-                0x58 => try_or_halt!(m, m.push(U256::from_u64(m.pc as u64))),
-                0x59 => try_or_halt!(m, m.push(U256::from_u64(m.mem_words * 32))),
-                0x5A => try_or_halt!(m, m.push(U256::from_u64(m.gas_left))),
+                0x58 => try_or_halt!(m.push(U256::from_u64(m.pc as u64))),
+                0x59 => try_or_halt!(m.push(U256::from_u64(m.mem_words * 32))),
+                0x5A => try_or_halt!(m.push(U256::from_u64(m.gas_left))),
                 0x5B => {} // JUMPDEST
-                0x5F => try_or_halt!(m, m.push(U256::ZERO)),
+                0x5F => try_or_halt!(m.push(U256::ZERO)),
                 0x60..=0x7F => {
                     let n = usize::from(info.immediate_bytes);
                     let end = (m.pc + 1 + n).min(code.len());
                     let v = U256::from_be_bytes(&code[m.pc + 1..end]);
                     // Truncated pushes read zero-extended on the right in real
                     // EVMs; left-pad is fine for validation purposes.
-                    try_or_halt!(m, m.push(v));
+                    try_or_halt!(m.push(v));
                     next_pc = end;
                 }
                 0x80..=0x8F => {
                     let depth = usize::from(byte - 0x80);
                     let v = m.stack[m.stack.len() - 1 - depth];
-                    try_or_halt!(m, m.push(v));
+                    try_or_halt!(m.push(v));
                 }
                 0x90..=0x9F => {
                     let depth = usize::from(byte - 0x90) + 1;
@@ -518,29 +562,29 @@ impl Interpreter {
                 }
                 0xA0..=0xA4 => {
                     // LOGn: pop offset, len, n topics; charge 8/byte.
-                    let off = try_or_halt!(m, m.pop());
-                    let len = try_or_halt!(m, m.pop());
+                    let off = try_or_halt!(m.pop());
+                    let len = try_or_halt!(m.pop());
                     let topics = usize::from(byte - 0xA0);
                     for _ in 0..topics {
-                        try_or_halt!(m, m.pop());
+                        try_or_halt!(m.pop());
                     }
                     host.on_log(m.pc, topics);
                     let n = len.to_usize().unwrap_or(usize::MAX) as u64;
-                    try_or_halt!(m, m.charge(8 * n.min(1 << 30)));
-                    let _data = try_or_halt!(m, m.mem_read(off, len));
+                    try_or_halt!(m.charge(8 * n.min(1 << 30)));
+                    let _data = try_or_halt!(m.mem_read(off, len));
                 }
                 0xF0 => {
                     // CREATE (simulated): pop value/offset/len, push zero address.
                     for _ in 0..3 {
-                        try_or_halt!(m, m.pop());
+                        try_or_halt!(m.pop());
                     }
-                    try_or_halt!(m, m.push(U256::ZERO));
+                    try_or_halt!(m.push(U256::ZERO));
                 }
                 0xF5 => {
                     for _ in 0..4 {
-                        try_or_halt!(m, m.pop());
+                        try_or_halt!(m.pop());
                     }
-                    try_or_halt!(m, m.push(U256::ZERO));
+                    try_or_halt!(m.push(U256::ZERO));
                 }
                 0xF1 | 0xF2 | 0xF4 | 0xFA => {
                     // CALL / CALLCODE / DELEGATECALL / STATICCALL — routed
@@ -552,18 +596,18 @@ impl Interpreter {
                         0xF4 => CallKind::DelegateCall,
                         _ => CallKind::StaticCall,
                     };
-                    let gas_param = try_or_halt!(m, m.pop());
-                    let target = try_or_halt!(m, m.pop());
+                    let gas_param = try_or_halt!(m.pop());
+                    let target = try_or_halt!(m.pop());
                     let value = if kind.has_value() {
-                        try_or_halt!(m, m.pop())
+                        try_or_halt!(m.pop())
                     } else {
                         U256::ZERO
                     };
-                    let args_off = try_or_halt!(m, m.pop());
-                    let args_len = try_or_halt!(m, m.pop());
-                    let ret_off = try_or_halt!(m, m.pop());
-                    let ret_len = try_or_halt!(m, m.pop());
-                    let input = try_or_halt!(m, m.mem_read(args_off, args_len));
+                    let args_off = try_or_halt!(m.pop());
+                    let args_len = try_or_halt!(m.pop());
+                    let ret_off = try_or_halt!(m.pop());
+                    let ret_len = try_or_halt!(m.pop());
+                    let input = try_or_halt!(m.mem_read(args_off, args_len));
                     // EIP-150: forward at most 63/64 of what remains.
                     let cap = m.gas_left - m.gas_left / 64;
                     let forwarded = gas_param.to_usize().map_or(cap, |g| (g as u64).min(cap));
@@ -577,7 +621,7 @@ impl Interpreter {
                     });
                     // A well-behaved host stays within the forwarded gas;
                     // clamp regardless so a buggy host cannot underflow.
-                    try_or_halt!(m, m.charge(outcome.gas_used.min(forwarded)));
+                    try_or_halt!(m.charge(outcome.gas_used.min(forwarded)));
                     m.returndata = outcome.returndata;
                     // Copy-out: min(retLen, returndata) bytes into caller
                     // memory at retOff.
@@ -587,43 +631,40 @@ impl Interpreter {
                         .min(ret_len.to_usize().unwrap_or(usize::MAX));
                     if copy > 0 {
                         let off =
-                            try_or_halt!(m, m.touch_memory(ret_off, U256::from_u64(copy as u64)));
+                            try_or_halt!(m.touch_memory(ret_off, U256::from_u64(copy as u64)));
                         let (memory, returndata) = (&mut m.memory, &m.returndata);
                         memory[off..off + copy].copy_from_slice(&returndata[..copy]);
                     }
-                    try_or_halt!(
-                        m,
-                        m.push(if outcome.success {
-                            U256::ONE
-                        } else {
-                            U256::ZERO
-                        })
-                    );
+                    try_or_halt!(m.push(if outcome.success {
+                        U256::ONE
+                    } else {
+                        U256::ZERO
+                    }));
                 }
                 0xF3 => {
                     // RETURN
-                    let off = try_or_halt!(m, m.pop());
-                    let len = try_or_halt!(m, m.pop());
-                    let out = try_or_halt!(m, m.mem_read(off, len));
-                    return finish(&m, Status::Success, out);
+                    let off = try_or_halt!(m.pop());
+                    let len = try_or_halt!(m.pop());
+                    let out = try_or_halt!(m.mem_read(off, len));
+                    return (Status::Success, out);
                 }
                 0xFD => {
                     // REVERT
-                    let off = try_or_halt!(m, m.pop());
-                    let len = try_or_halt!(m, m.pop());
-                    let out = try_or_halt!(m, m.mem_read(off, len));
-                    return finish(&m, Status::Revert, out);
+                    let off = try_or_halt!(m.pop());
+                    let len = try_or_halt!(m.pop());
+                    let out = try_or_halt!(m.mem_read(off, len));
+                    return (Status::Revert, out);
                 }
                 0xFF => {
-                    let beneficiary = try_or_halt!(m, m.pop());
+                    let beneficiary = try_or_halt!(m.pop());
                     host.on_selfdestruct(m.pc, &beneficiary);
-                    return finish(&m, Status::SelfDestructed, Vec::new());
+                    return (Status::SelfDestructed, Vec::new());
                 }
-                _ => halt!(m, Halt::InvalidOpcode(byte)),
+                _ => halt!(Halt::InvalidOpcode(byte)),
             }
             m.pc = next_pc;
         }
-        finish(&m, Status::Success, Vec::new())
+        (Status::Success, Vec::new())
     }
 }
 

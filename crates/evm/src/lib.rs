@@ -24,7 +24,9 @@
 //!   calls) behind the interpreter, and a dispatcher [`explorer::Explorer`]
 //!   that recovers the `PUSH4/EQ/JUMPI` selector table and executes each
 //!   entry point under a hard budget, producing a structured
-//!   [`explorer::Trace`] for the trace feature extractors.
+//!   [`explorer::Trace`] for the trace feature extractors. One linear pass
+//!   over the code yields both the selector table and the jump
+//!   destinations, and every run of a contract shares it.
 //! * [`u256`] / [`keccak`] — 256-bit words and keccak-256 hashing (used for
 //!   interpreter arithmetic and for bytecode deduplication).
 //!
@@ -41,6 +43,7 @@
 //! assert_eq!(instrs[2].mnemonic(), "MSTORE");
 //! ```
 
+mod analysis;
 pub mod asm;
 pub mod disasm;
 pub mod explorer;

@@ -98,48 +98,56 @@ impl TraceExtractor {
     /// must be [`Self::n_features`] wide).
     pub fn featurize_into(&self, trace: &Trace, row: &mut [f64]) {
         debug_assert_eq!(row.len(), TRACE_COLUMNS.len());
+        // One counting pass over the runs and their call/selfdestruct sites.
+        let (mut sel_runs, mut reverted, mut halted) = (0usize, 0usize, 0usize);
+        let (mut calls, mut value_calls, mut value_to_caller) = (0usize, 0usize, 0usize);
+        let (mut value_after_sload, mut after_sstore) = (0usize, 0usize);
+        let (mut delegate_calls, mut static_calls) = (0usize, 0usize);
+        let (mut sd, mut sd_to_caller) = (0usize, 0usize);
+        let (mut sloads, mut sstores, mut logs, mut steps) = (0u64, 0u64, 0u64, 0u64);
+        for run in &trace.runs {
+            if run.selector.is_some() {
+                sel_runs += 1;
+                reverted += usize::from(run.reverted());
+            }
+            halted += usize::from(run.halted());
+            for c in &run.calls {
+                calls += 1;
+                value_calls += usize::from(c.transfers_value);
+                value_to_caller += usize::from(c.transfers_value && c.to_caller);
+                value_after_sload += usize::from(c.transfers_value && c.after_sload);
+                after_sstore += usize::from(c.after_sstore);
+                delegate_calls += usize::from(c.kind == CallKind::DelegateCall);
+                static_calls += usize::from(c.kind == CallKind::StaticCall);
+            }
+            sd += run.selfdestructs.len();
+            sd_to_caller += run.selfdestructs.iter().filter(|s| s.to_caller).count();
+            sloads += run.sloads;
+            sstores += run.sstores;
+            logs += run.logs;
+            steps += run.steps;
+        }
         let n_runs = trace.runs.len();
-        let sel_runs: Vec<_> = trace.selector_runs().collect();
-        let reverted = sel_runs.iter().filter(|r| r.reverted()).count();
-        let halted = trace.runs.iter().filter(|r| r.halted()).count();
-        let calls: Vec<_> = trace.calls().collect();
-        let value_calls = calls.iter().filter(|c| c.transfers_value).count();
-        let value_to_caller = calls
-            .iter()
-            .filter(|c| c.transfers_value && c.to_caller)
-            .count();
-        let sd: Vec<_> = trace.selfdestructs().collect();
-        let sd_to_caller = sd.iter().filter(|s| s.to_caller).count();
-        let steps: u64 = trace.runs.iter().map(|r| r.steps).sum();
         let payout_reachable = value_to_caller > 0 || sd_to_caller > 0;
 
         row[0] = trace.selectors_total as f64;
         row[1] = n_runs as f64;
-        row[2] = reverted as f64 / sel_runs.len().max(1) as f64;
+        row[2] = reverted as f64 / sel_runs.max(1) as f64;
         row[3] = f64::from(u8::from(trace.fallback().status == Status::Revert));
         row[4] = halted as f64 / n_runs.max(1) as f64;
-        row[5] = calls.len() as f64;
+        row[5] = calls as f64;
         row[6] = value_calls as f64;
         row[7] = value_to_caller as f64;
         row[8] = (value_calls - value_to_caller) as f64;
-        row[9] = calls
-            .iter()
-            .filter(|c| c.transfers_value && c.after_sload)
-            .count() as f64;
-        row[10] = calls.iter().filter(|c| c.after_sstore).count() as f64;
-        row[11] = calls
-            .iter()
-            .filter(|c| c.kind == CallKind::DelegateCall)
-            .count() as f64;
-        row[12] = calls
-            .iter()
-            .filter(|c| c.kind == CallKind::StaticCall)
-            .count() as f64;
-        row[13] = sd.len() as f64;
+        row[9] = value_after_sload as f64;
+        row[10] = after_sstore as f64;
+        row[11] = delegate_calls as f64;
+        row[12] = static_calls as f64;
+        row[13] = sd as f64;
         row[14] = sd_to_caller as f64;
-        row[15] = trace.runs.iter().map(|r| r.sloads).sum::<u64>() as f64;
-        row[16] = trace.runs.iter().map(|r| r.sstores).sum::<u64>() as f64;
-        row[17] = trace.runs.iter().map(|r| r.logs).sum::<u64>() as f64;
+        row[15] = sloads as f64;
+        row[16] = sstores as f64;
+        row[17] = logs as f64;
         row[18] = steps as f64 / n_runs.max(1) as f64;
         row[19] = f64::from(u8::from(payout_reachable));
     }
