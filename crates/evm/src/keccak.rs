@@ -178,23 +178,53 @@ pub fn to_hex(bytes: &[u8]) -> String {
     s
 }
 
+/// Nibble value of every byte: `0..=15` for a hex digit (either case),
+/// [`NOT_HEX`] for anything else.
+const NIBBLE: [u8; 256] = {
+    let mut table = [NOT_HEX; 256];
+    let mut b = 0;
+    while b < 10 {
+        table[b'0' as usize + b] = b as u8;
+        b += 1;
+    }
+    let mut b = 0;
+    while b < 6 {
+        table[b'a' as usize + b] = 10 + b as u8;
+        table[b'A' as usize + b] = 10 + b as u8;
+        b += 1;
+    }
+    table
+};
+
+/// The [`NIBBLE`] entry of a non-hex byte: its high bits survive any OR
+/// with valid nibbles, so one check after the loop catches every bad digit.
+const NOT_HEX: u8 = 0xFF;
+
 /// Parses lowercase/uppercase hex (with optional `0x` prefix) into bytes.
 ///
 /// # Errors
 /// Returns `None` for odd-length or non-hex input.
 pub fn from_hex(s: &str) -> Option<Vec<u8>> {
-    let s = s.strip_prefix("0x").unwrap_or(s);
-    if !s.len().is_multiple_of(2) {
+    decode_hex(s.strip_prefix("0x").unwrap_or(s).as_bytes())
+}
+
+/// Decodes prefix-free hex digits. Every digit goes through the [`NIBBLE`]
+/// table; invalid digits are folded into one accumulator checked at the end
+/// instead of branching per nibble.
+fn decode_hex(digits: &[u8]) -> Option<Vec<u8>> {
+    if !digits.len().is_multiple_of(2) {
         return None;
     }
-    let mut out = Vec::with_capacity(s.len() / 2);
-    let bytes = s.as_bytes();
-    for pair in bytes.chunks_exact(2) {
-        let hi = (pair[0] as char).to_digit(16)?;
-        let lo = (pair[1] as char).to_digit(16)?;
-        out.push((hi * 16 + lo) as u8);
-    }
-    Some(out)
+    let mut bad = 0u8;
+    let out = digits
+        .chunks_exact(2)
+        .map(|pair| {
+            let (hi, lo) = (NIBBLE[pair[0] as usize], NIBBLE[pair[1] as usize]);
+            bad |= hi | lo;
+            (hi << 4) | lo
+        })
+        .collect();
+    (bad & !0x0F == 0).then_some(out)
 }
 
 #[cfg(test)]
@@ -263,5 +293,57 @@ mod tests {
         assert_eq!(from_hex("0x6080").unwrap(), vec![0x60, 0x80]);
         assert!(from_hex("abc").is_none());
         assert!(from_hex("zz").is_none());
+    }
+
+    /// The digit semantics the table must reproduce: `char::to_digit(16)`
+    /// on the byte read as a char (non-ASCII bytes are never digits).
+    fn reference(digits: &[u8]) -> Option<Vec<u8>> {
+        if !digits.len().is_multiple_of(2) {
+            return None;
+        }
+        digits
+            .chunks_exact(2)
+            .map(|pair| {
+                let hi = (pair[0] as char).to_digit(16)?;
+                let lo = (pair[1] as char).to_digit(16)?;
+                Some((hi * 16 + lo) as u8)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn hex_table_matches_to_digit_on_every_byte_pair() {
+        for a in 0..=255u8 {
+            for b in 0..=255u8 {
+                let pair = [a, b];
+                let expected = reference(&pair);
+                assert_eq!(decode_hex(&pair), expected, "{pair:02x?}");
+                if let Ok(text) = std::str::from_utf8(&pair) {
+                    // `"0x"` itself is a prefix with no digits after it.
+                    let bare = reference(text.strip_prefix("0x").unwrap_or(text).as_bytes());
+                    assert_eq!(from_hex(text), bare, "{text:?}");
+                    assert_eq!(from_hex(&format!("0x{text}")), expected, "0x{text:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hex_prefix_and_odd_lengths() {
+        assert_eq!(from_hex(""), Some(vec![]));
+        assert_eq!(from_hex("0x"), Some(vec![]));
+        assert_eq!(from_hex("0xAbCd"), Some(vec![0xAB, 0xCD]));
+        // Only a lowercase `0x` prefix is stripped, and only once.
+        assert!(from_hex("0X60").is_none());
+        assert!(from_hex("0x0x60").is_none());
+        for odd in ["0", "0x0", "606", "0x606", "0x6080604"] {
+            assert!(from_hex(odd).is_none(), "{odd}");
+        }
+        // A bad digit anywhere, first or last, fails the whole input.
+        assert!(from_hex("g0606060").is_none());
+        assert!(from_hex("6060606g").is_none());
+        // Multibyte characters are never digits, even at even byte length.
+        assert!(from_hex("\u{e9}").is_none());
+        assert!(from_hex("60\u{e9}60").is_none());
     }
 }

@@ -69,6 +69,7 @@
 use crate::cache::CacheStats;
 use crate::scheduler::StatsSnapshot;
 use phishinghook_models::Verdict;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Hard ceiling on one request line, pre-parse (1 MiB). Real deployed
@@ -147,12 +148,21 @@ pub struct WireRequest {
 /// A human-readable message describing the malformed line (sent back to the
 /// client as an error object; the daemon never disconnects on bad input).
 pub fn parse_request_v2(line: &str, fallback_id: &str) -> Result<WireRequest, String> {
+    decode_request_v2(line, || fallback_id.to_owned())
+}
+
+/// [`parse_request_v2`] with the fallback id built only when the line
+/// carries no `id` of its own (the scheduler's per-request path).
+pub(crate) fn decode_request_v2(
+    line: &str,
+    fallback_id: impl FnOnce() -> String,
+) -> Result<WireRequest, String> {
     check_line_len(line)?;
     let trimmed = line.trim();
     if !trimmed.starts_with('{') {
         // Bare hex convenience form.
         return Ok(WireRequest {
-            id: fallback_id.to_owned(),
+            id: fallback_id(),
             payload: WirePayload::Bytecode(trimmed.to_owned()),
         });
     }
@@ -161,7 +171,7 @@ pub fn parse_request_v2(line: &str, fallback_id: &str) -> Result<WireRequest, St
     let mut hex = None;
     let mut address = None;
     for (key, value) in fields {
-        match key.as_str() {
+        match &*key {
             // Numeric ids (JSON-RPC style) are accepted and echoed as text.
             "id" => id = Some(value.text),
             "bytecode" => {
@@ -177,7 +187,7 @@ pub fn parse_request_v2(line: &str, fallback_id: &str) -> Result<WireRequest, St
                 address = Some(value.text);
             }
             "proto" => {
-                if !matches!(value.text.as_str(), "2" | "v2") {
+                if !matches!(&*value.text, "2" | "v2") {
                     return Err(format!(
                         "unsupported proto version `{}` (this endpoint speaks v2)",
                         value.text
@@ -193,12 +203,12 @@ pub fn parse_request_v2(line: &str, fallback_id: &str) -> Result<WireRequest, St
                 "request carries both `bytecode` and `address`; send exactly one".to_owned(),
             )
         }
-        (Some(hex), None) => WirePayload::Bytecode(hex),
-        (None, Some(addr)) => WirePayload::Address(addr),
+        (Some(hex), None) => WirePayload::Bytecode(hex.into_owned()),
+        (None, Some(addr)) => WirePayload::Address(addr.into_owned()),
         (None, None) => return Err("request object is missing `bytecode` or `address`".to_owned()),
     };
     Ok(WireRequest {
-        id: id.unwrap_or_else(|| fallback_id.to_owned()),
+        id: id.map_or_else(fallback_id, Cow::into_owned),
         payload,
     })
 }
@@ -412,100 +422,154 @@ pub fn render_stats_v1(out: &mut String, stats: &StatsSnapshot, engine: EngineIn
     );
 }
 
-/// Appends `s` as a JSON string literal (quoted, escaped).
+/// Appends `s` as a JSON string literal (quoted, escaped). Runs of bytes
+/// that need no escape are copied whole; every escaped byte is ASCII, so
+/// the run boundaries always fall on UTF-8 character boundaries.
 pub(crate) fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1F => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match escape {
+            Some(short) => out.push_str(short),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
 /// One flat JSON value: its text plus whether it arrived as a quoted
 /// string (scalars like `2`, `true`, `null` keep their literal spelling).
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct JsonValue {
-    text: String,
+struct JsonValue<'a> {
+    text: Cow<'a, str>,
     quoted: bool,
+}
+
+/// A byte-offset cursor over one request line. It only ever advances past
+/// ASCII bytes or to the end of a run that stops at an ASCII byte, so every
+/// offset it slices at is a UTF-8 character boundary.
+struct Cursor<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    /// Consumes `byte` if it is next; `false` (consuming nothing) otherwise.
+    fn eat(&mut self, byte: u8) -> bool {
+        let hit = self.peek() == Some(byte);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    fn skip_ws(&mut self) {
+        while self.peek().is_some_and(|b| b.is_ascii_whitespace()) {
+            self.pos += 1;
+        }
+    }
+
+    /// Consumes a `\uXXXX` escape's four hex digits (the cursor sits just
+    /// past the `u`); `None` when any is missing or not hex.
+    fn hex4(&mut self) -> Option<u32> {
+        let digits = self.text.as_bytes().get(self.pos..self.pos + 4)?;
+        let mut code = 0;
+        for &d in digits {
+            code = code * 16 + (d as char).to_digit(16)?;
+        }
+        self.pos += 4;
+        Some(code)
+    }
+
+    /// Consumes a `\uDC00`–`\uDFFF` escape if one is next — the low half of
+    /// a surrogate pair — and returns its code unit.
+    fn low_surrogate(&mut self) -> Option<u32> {
+        let start = self.pos;
+        if self.eat(b'\\') && self.eat(b'u') {
+            if let Some(low @ 0xDC00..=0xDFFF) = self.hex4() {
+                return Some(low);
+            }
+        }
+        self.pos = start;
+        None
+    }
 }
 
 /// Parses a flat JSON object whose values are strings or bare scalars —
 /// `{"key":"value","proto":2, …}` — which is everything a v2 *request* may
 /// carry. Nested objects/arrays are rejected with a descriptive message.
-fn parse_flat_object(text: &str) -> Result<Vec<(String, JsonValue)>, String> {
-    let mut chars = text.chars().peekable();
+fn parse_flat_object(text: &str) -> Result<Vec<(Cow<'_, str>, JsonValue<'_>)>, String> {
+    let mut cur = Cursor { text, pos: 0 };
     let mut fields = Vec::new();
 
-    skip_ws(&mut chars);
-    if chars.next() != Some('{') {
+    cur.skip_ws();
+    if !cur.eat(b'{') {
         return Err("request is not a JSON object".to_owned());
     }
-    skip_ws(&mut chars);
-    if chars.peek() == Some(&'}') {
-        chars.next();
-    } else {
+    cur.skip_ws();
+    if !cur.eat(b'}') {
         loop {
-            skip_ws(&mut chars);
-            let key = parse_string(&mut chars)?;
-            skip_ws(&mut chars);
-            if chars.next() != Some(':') {
+            cur.skip_ws();
+            let key = parse_string(&mut cur)?;
+            cur.skip_ws();
+            if !cur.eat(b':') {
                 return Err(format!("expected `:` after key `{key}`"));
             }
-            skip_ws(&mut chars);
-            let value = parse_value(&mut chars).map_err(|e| format!("field `{key}`: {e}"))?;
+            cur.skip_ws();
+            let value = parse_value(&mut cur).map_err(|e| format!("field `{key}`: {e}"))?;
             fields.push((key, value));
-            skip_ws(&mut chars);
-            match chars.next() {
-                Some(',') => continue,
-                Some('}') => break,
-                _ => return Err("expected `,` or `}` in request object".to_owned()),
+            cur.skip_ws();
+            if cur.eat(b',') {
+                continue;
             }
+            if cur.eat(b'}') {
+                break;
+            }
+            return Err("expected `,` or `}` in request object".to_owned());
         }
     }
-    skip_ws(&mut chars);
-    if chars.next().is_some() {
+    cur.skip_ws();
+    if cur.peek().is_some() {
         return Err("trailing characters after request object".to_owned());
     }
     Ok(fields)
 }
 
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while chars.peek().is_some_and(|c| c.is_ascii_whitespace()) {
-        chars.next();
-    }
-}
-
 /// Parses one flat JSON value: a string literal or a bare scalar (number,
 /// `true`, `false`, `null`). Nested containers are rejected.
-fn parse_value(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<JsonValue, String> {
-    match chars.peek() {
-        Some('"') => Ok(JsonValue {
-            text: parse_string(chars)?,
+fn parse_value<'a>(cur: &mut Cursor<'a>) -> Result<JsonValue<'a>, String> {
+    match cur.peek() {
+        Some(b'"') => Ok(JsonValue {
+            text: parse_string(cur)?,
             quoted: true,
         }),
-        Some('{') | Some('[') => {
-            Err("nested objects/arrays are not accepted in requests".to_owned())
-        }
-        Some(c) if c.is_ascii_digit() || matches!(c, '-' | 't' | 'f' | 'n') => {
-            let mut text = String::new();
-            while chars
+        Some(b'{' | b'[') => Err("nested objects/arrays are not accepted in requests".to_owned()),
+        Some(b) if b.is_ascii_digit() || matches!(b, b'-' | b't' | b'f' | b'n') => {
+            let start = cur.pos;
+            while cur
                 .peek()
-                .is_some_and(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '+' | '.'))
+                .is_some_and(|b| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'+' | b'.'))
             {
-                text.push(chars.next().expect("peeked"));
+                cur.pos += 1;
             }
             Ok(JsonValue {
-                text,
+                text: Cow::Borrowed(&cur.text[start..cur.pos]),
                 quoted: false,
             })
         }
@@ -514,41 +578,64 @@ fn parse_value(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<J
 }
 
 /// Parses one JSON string literal, cursor positioned at the opening quote.
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<String, String> {
-    if chars.next() != Some('"') {
+/// Each run up to the next `"` or `\` is taken whole: borrowed when the
+/// literal has no escapes, copied with one `push_str` per run otherwise.
+fn parse_string<'a>(cur: &mut Cursor<'a>) -> Result<Cow<'a, str>, String> {
+    if !cur.eat(b'"') {
         return Err("expected a JSON string".to_owned());
     }
-    let mut out = String::new();
+    let mut out: Option<String> = None;
     loop {
-        match chars.next() {
-            None => return Err("unterminated string".to_owned()),
-            Some('"') => return Ok(out),
-            Some('\\') => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('/') => out.push('/'),
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('t') => out.push('\t'),
-                Some('b') => out.push('\u{0008}'),
-                Some('f') => out.push('\u{000C}'),
-                Some('u') => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        let d = chars
-                            .next()
-                            .and_then(|c| c.to_digit(16))
-                            .ok_or("bad \\u escape")?;
-                        code = code * 16 + d;
-                    }
-                    // Surrogates and other invalid scalars degrade to U+FFFD
-                    // rather than failing the whole request.
-                    out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+        let start = cur.pos;
+        let Some(len) = cur.text.as_bytes()[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+        else {
+            return Err("unterminated string".to_owned());
+        };
+        cur.pos += len;
+        let run = &cur.text[start..cur.pos];
+        if cur.eat(b'"') {
+            return Ok(match out {
+                None => Cow::Borrowed(run),
+                Some(mut owned) => {
+                    owned.push_str(run);
+                    Cow::Owned(owned)
                 }
-                _ => return Err("unknown escape sequence".to_owned()),
-            },
-            Some(c) => out.push(c),
+            });
         }
+        cur.pos += 1; // the backslash
+        let owned = out.get_or_insert_with(String::new);
+        owned.push_str(run);
+        let escaped = match cur.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{0008}',
+            Some(b'f') => '\u{000C}',
+            Some(b'u') => {
+                cur.pos += 1;
+                let code = cur.hex4().ok_or("bad \\u escape")?;
+                // A high surrogate followed by a low one is one astral
+                // scalar; lone surrogates (and other invalid scalars)
+                // degrade to U+FFFD rather than failing the whole request.
+                let code = match code {
+                    0xD800..=0xDBFF => match cur.low_surrogate() {
+                        Some(low) => 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00),
+                        None => code,
+                    },
+                    _ => code,
+                };
+                owned.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+                continue;
+            }
+            _ => return Err("unknown escape sequence".to_owned()),
+        };
+        cur.pos += 1;
+        owned.push(escaped);
     }
 }
 
@@ -679,6 +766,34 @@ mod tests {
         let mut line = String::new();
         render_error_v2(&mut line, &req.id, "nope");
         assert_eq!(line, r#"{"proto":2,"id":"a\"b\\c\ndA","error":"nope"}"#);
+    }
+
+    #[test]
+    fn surrogate_pair_escapes_decode_to_one_scalar() {
+        let req =
+            parse_request_v2(r#"{"id":"\ud83d\ude00","bytecode":"60"}"#, "0").expect("parses");
+        assert_eq!(req.id, "\u{1F600}");
+        // Either hex case, and the pair may sit between other text.
+        let req =
+            parse_request_v2(r#"{"id":"a\uD834\uDD1Eb","bytecode":"60"}"#, "0").expect("parses");
+        assert_eq!(req.id, "a\u{1D11E}b");
+        // Lone halves still degrade to U+FFFD, one per escape.
+        for (escaped, decoded) in [
+            (r"\ud83d", "\u{FFFD}"),
+            (r"\ude00", "\u{FFFD}"),
+            (r"\ud83dx", "\u{FFFD}x"),
+            (r"\ude00\ud83d", "\u{FFFD}\u{FFFD}"),
+            (r"\ud83d\ud83d\ude00", "\u{FFFD}\u{1F600}"),
+            (r"\ud83d\n", "\u{FFFD}\n"),
+            (r"\ud83d\u0041", "\u{FFFD}A"),
+        ] {
+            let line = format!(r#"{{"id":"{escaped}","bytecode":"60"}}"#);
+            let req = parse_request_v2(&line, "0").expect("parses");
+            assert_eq!(req.id, decoded, "{line}");
+        }
+        // A malformed escape after a high surrogate is still refused.
+        let err = parse_request_v2(r#"{"id":"\ud83d\uzzzz","bytecode":"60"}"#, "0").unwrap_err();
+        assert!(err.contains("bad \\u escape"), "{err}");
     }
 
     #[test]
@@ -841,6 +956,39 @@ mod tests {
         assert!(v1.ends_with("\tquantize=off\tquant_bins=0"), "{v1}");
     }
 
+    /// Maps one random draw onto characters JSON strings have to handle:
+    /// quotes, backslashes, ASCII controls, plain ASCII and 2-, 3- and
+    /// 4-byte UTF-8 (the last needing a surrogate pair once `\u`-escaped).
+    fn tricky_char(draw: u32) -> char {
+        let pick = draw / 8;
+        let code = match draw % 8 {
+            0 => u32::from(b'"'),
+            1 => u32::from(b'\\'),
+            2 => pick % 0x20,
+            3 | 4 => 0x20 + pick % 0x5F,
+            5 => 0x80 + pick % 0x780,
+            6 => 0x800 + pick % 0xF800,
+            _ => 0x10000 + pick % 0x100000,
+        };
+        char::from_u32(code).unwrap_or('\u{FFFD}')
+    }
+
+    /// Encodes `s` as a JSON string literal with every character
+    /// `\u`-escaped (surrogate pairs for astral characters), alternating
+    /// hex case.
+    fn fully_escaped(s: &str) -> String {
+        let mut out = String::from("\"");
+        for (i, unit) in s.encode_utf16().enumerate() {
+            if i % 2 == 0 {
+                let _ = write!(out, "\\u{unit:04x}");
+            } else {
+                let _ = write!(out, "\\u{unit:04X}");
+            }
+        }
+        out.push('"');
+        out
+    }
+
     proptest! {
         #[test]
         fn arbitrary_bytes_never_panic_the_v2_parser(
@@ -852,6 +1000,29 @@ mod tests {
             if let Ok(line) = std::str::from_utf8(&bytes) {
                 let _ = parse_request_v2(line, "0");
             }
+        }
+
+        #[test]
+        fn ids_round_trip_through_both_encodings(
+            draws in proptest::collection::vec(any::<u32>(), 0..24),
+            code in proptest::collection::vec(any::<u8>(), 0..32),
+        ) {
+            let id: String = draws.into_iter().map(tricky_char).collect();
+            let mut rendered = String::new();
+            push_json_string(&mut rendered, &id);
+            for literal in [rendered, fully_escaped(&id)] {
+                let line = format!(r#"{{"id":{literal},"bytecode":"60"}}"#);
+                let req = parse_request_v2(&line, "fallback").expect("parses");
+                prop_assert_eq!(&req.id, &id, "{}", line);
+            }
+
+            // A `\u`-escaped bytecode value decodes to the same bytes as
+            // its plain spelling.
+            let hex = format!("0x{}", phishinghook_evm::keccak::to_hex(&code));
+            let line = format!(r#"{{"bytecode":{}}}"#, fully_escaped(&hex));
+            let req = parse_request_v2(&line, "0").expect("parses");
+            prop_assert_eq!(hex_of(&req), hex.as_str());
+            prop_assert_eq!(phishinghook_evm::keccak::from_hex(hex_of(&req)), Some(code));
         }
 
         #[test]

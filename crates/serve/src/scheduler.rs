@@ -320,6 +320,9 @@ struct ConnState {
     /// channel) once the connection is finished and fully drained.
     tx: Option<mpsc::Sender<(String, ResponseKind)>>,
     next_seq: u64,
+    /// How many sequence numbers the connection allocated in total. Only
+    /// meaningful once `eof` is set: [`Connection::finish`] writes both
+    /// together, so allocating a number never takes the router lock.
     submitted_seqs: u64,
     pending: BTreeMap<u64, (String, ResponseKind)>,
     eof: bool,
@@ -456,47 +459,55 @@ struct Router {
     next_id: AtomicU64,
 }
 
+/// One response line bound for a connection's ordered stream:
+/// `(conn, seq, line, settle)`.
+type Routed = (u64, u64, String, Settle);
+
 impl Router {
-    /// Routes one response line, releasing every line that is now in
-    /// per-connection order, and tallies it into the connection's report.
-    fn complete(&self, conn: u64, seq: u64, line: String, settle: Settle) {
-        let kind = match &settle {
-            Settle::Scored { .. } => ResponseKind::Verdict,
-            Settle::Error => ResponseKind::Error,
-            Settle::Overload => ResponseKind::Overload,
-            Settle::Timeout => ResponseKind::Timeout,
-            Settle::Internal => ResponseKind::Internal,
-            Settle::Stats => ResponseKind::Inline,
-        };
+    /// Routes response lines under one lock: each is tallied into its
+    /// connection's report, and every line that is now in per-connection
+    /// order is released to that connection's writer. Single responses
+    /// pass a one-item array; a worker passes its whole scored batch.
+    fn route(&self, routed: impl IntoIterator<Item = Routed>) {
         let mut conns = self.conns.lock().expect("router lock");
-        let Some(state) = conns.get_mut(&conn) else {
-            return; // report already taken (connection torn down)
-        };
-        match settle {
-            Settle::Scored { bytes, cached } => {
-                state.report.contracts += 1;
-                state.report.bytes += bytes;
-                if cached {
-                    state.report.cache_hits += 1;
-                } else {
-                    state.report.cache_misses += 1;
+        for (conn, seq, line, settle) in routed {
+            let Some(state) = conns.get_mut(&conn) else {
+                continue; // report already taken (connection torn down)
+            };
+            let kind = match &settle {
+                Settle::Scored { .. } => ResponseKind::Verdict,
+                Settle::Error => ResponseKind::Error,
+                Settle::Overload => ResponseKind::Overload,
+                Settle::Timeout => ResponseKind::Timeout,
+                Settle::Internal => ResponseKind::Internal,
+                Settle::Stats => ResponseKind::Inline,
+            };
+            match settle {
+                Settle::Scored { bytes, cached } => {
+                    state.report.contracts += 1;
+                    state.report.bytes += bytes;
+                    if cached {
+                        state.report.cache_hits += 1;
+                    } else {
+                        state.report.cache_misses += 1;
+                    }
                 }
+                Settle::Error | Settle::Timeout | Settle::Internal => state.report.errors += 1,
+                Settle::Overload => state.report.overloads += 1,
+                Settle::Stats => {}
             }
-            Settle::Error | Settle::Timeout | Settle::Internal => state.report.errors += 1,
-            Settle::Overload => state.report.overloads += 1,
-            Settle::Stats => {}
-        }
-        state.pending.insert(seq, (line, kind));
-        while let Some(ready) = state.pending.remove(&state.next_seq) {
-            if let Some(tx) = &state.tx {
-                // A dead writer only means the lines go nowhere; ordering
-                // bookkeeping still advances so shutdown can drain.
-                let _ = tx.send(ready);
+            state.pending.insert(seq, (line, kind));
+            while let Some(ready) = state.pending.remove(&state.next_seq) {
+                if let Some(tx) = &state.tx {
+                    // A dead writer only means the lines go nowhere; ordering
+                    // bookkeeping still advances so shutdown can drain.
+                    let _ = tx.send(ready);
+                }
+                state.next_seq += 1;
             }
-            state.next_seq += 1;
-        }
-        if state.eof && state.next_seq == state.submitted_seqs {
-            state.tx = None; // closes the writer's channel
+            if state.eof && state.next_seq == state.submitted_seqs {
+                state.tx = None; // closes the writer's channel
+            }
         }
     }
 }
@@ -1050,21 +1061,22 @@ impl Connection {
             }
             self.shared
                 .router
-                .complete(self.id, seq, out, Settle::Stats);
+                .route([(self.id, seq, out, Settle::Stats)]);
             return SubmitOutcome::Stats;
         }
 
-        // Decode to (id, target) under the connection's framing.
-        let fallback = seq.to_string();
+        // Decode to (id, target) under the connection's framing. The
+        // fallback id is only rendered for lines that carry no id.
+        let fallback = || seq.to_string();
         let decoded: Result<(String, Target), (String, String)> = match self.proto {
             Protocol::V1 => match proto::check_line_len(line) {
-                Err(msg) => Err((fallback.clone(), msg)),
+                Err(msg) => Err((fallback(), msg)),
                 Ok(()) => match phishinghook_evm::keccak::from_hex(trimmed) {
-                    Some(code) => Ok((fallback.clone(), Target::Bytecode(code))),
-                    None => Err((fallback.clone(), "not valid hex bytecode".to_owned())),
+                    Some(code) => Ok((fallback(), Target::Bytecode(code))),
+                    None => Err((fallback(), "not valid hex bytecode".to_owned())),
                 },
             },
-            Protocol::V2 => match proto::parse_request_v2(line, &fallback) {
+            Protocol::V2 => match proto::decode_request_v2(line, fallback) {
                 Ok(req) => match req.payload {
                     proto::WirePayload::Bytecode(hex) => {
                         match phishinghook_evm::keccak::from_hex(hex.trim()) {
@@ -1077,7 +1089,7 @@ impl Connection {
                         Err(msg) => Err((req.id, msg)),
                     },
                 },
-                Err(msg) => Err((fallback.clone(), msg)),
+                Err(msg) => Err((fallback(), msg)),
             },
         };
         match decoded {
@@ -1114,12 +1126,12 @@ impl Connection {
             self.shared.metrics.inc_errors();
             self.shared
                 .router
-                .complete(self.id, seq, line, Settle::Error);
+                .route([(self.id, seq, line, Settle::Error)]);
             SubmitOutcome::Error
         } else {
             self.shared
                 .router
-                .complete(self.id, seq, line, Settle::Stats);
+                .route([(self.id, seq, line, Settle::Stats)]);
             SubmitOutcome::Stats
         }
     }
@@ -1134,7 +1146,7 @@ impl Connection {
         }
         self.shared
             .router
-            .complete(self.id, seq, out, Settle::Error);
+            .route([(self.id, seq, out, Settle::Error)]);
         SubmitOutcome::Error
     }
 
@@ -1209,15 +1221,11 @@ impl Connection {
                     &self.shared.names,
                     &verdict.per_model,
                 );
-                self.shared.router.complete(
-                    self.id,
-                    seq,
-                    line,
-                    Settle::Scored {
-                        bytes: code.len() as u64,
-                        cached: true,
-                    },
-                );
+                let settle = Settle::Scored {
+                    bytes: code.len() as u64,
+                    cached: true,
+                };
+                self.shared.router.route([(self.id, seq, line, settle)]);
                 self.shared.metrics.record_latency(t0.elapsed());
                 return SubmitOutcome::CacheHit;
             }
@@ -1244,7 +1252,7 @@ impl Connection {
                     }
                     self.shared
                         .router
-                        .complete(self.id, seq, out, Settle::Overload);
+                        .route([(self.id, seq, out, Settle::Overload)]);
                     return SubmitOutcome::Overloaded;
                 }
             },
@@ -1282,7 +1290,7 @@ impl Connection {
                 }
                 self.shared
                     .router
-                    .complete(self.id, job.seq, out, Settle::Overload);
+                    .route([(self.id, job.seq, out, Settle::Overload)]);
                 SubmitOutcome::Overloaded
             }
         }
@@ -1308,7 +1316,7 @@ impl Connection {
         }
         self.shared
             .router
-            .complete(self.id, seq, out, Settle::Error);
+            .route([(self.id, seq, out, Settle::Error)]);
         SubmitOutcome::Error
     }
 
@@ -1322,6 +1330,7 @@ impl Connection {
         self.finished = true;
         let mut conns = self.shared.router.conns.lock().expect("router lock");
         if let Some(state) = conns.get_mut(&self.id) {
+            state.submitted_seqs = self.seq;
             state.eof = true;
             if state.next_seq == state.submitted_seqs {
                 state.tx = None;
@@ -1331,17 +1340,13 @@ impl Connection {
 
     /// Claims a flow-control slot (blocking while the window is full) and
     /// allocates the next sequence number; `None` when the response stream
-    /// is gone.
+    /// is gone. The router learns the total only at [`Connection::finish`].
     fn allocate_seq(&mut self) -> Option<u64> {
         if !self.window.claim(self.shared.max_outstanding) {
             return None;
         }
         let seq = self.seq;
         self.seq += 1;
-        let mut conns = self.shared.router.conns.lock().expect("router lock");
-        if let Some(state) = conns.get_mut(&self.id) {
-            state.submitted_seqs = self.seq;
-        }
         Some(seq)
     }
 }
@@ -1387,7 +1392,7 @@ fn answer_timeout(shared: &Shared, job: &Job) {
     }
     shared
         .router
-        .complete(job.conn, job.seq, out, Settle::Timeout);
+        .route([(job.conn, job.seq, out, Settle::Timeout)]);
 }
 
 /// One worker, bound to one shard: drain that shard's queue into batches
@@ -1476,22 +1481,27 @@ fn worker_loop(
                 // error so no router slot is left waiting, and the
                 // supervisor replaces this worker with a fresh sibling.
                 shared.metrics.inc_worker_panics();
-                for job in &jobs {
-                    let mut out = String::new();
-                    match job.proto {
-                        Protocol::V1 => proto::render_internal_v1(&mut out),
-                        Protocol::V2 => proto::render_internal_v2(&mut out, &job.id),
-                    }
-                    shared
-                        .router
-                        .complete(job.conn, job.seq, out, Settle::Internal);
-                }
+                let internals: Vec<Routed> = jobs
+                    .iter()
+                    .map(|job| {
+                        let mut out = String::new();
+                        match job.proto {
+                            Protocol::V1 => proto::render_internal_v1(&mut out),
+                            Protocol::V2 => proto::render_internal_v2(&mut out, &job.id),
+                        }
+                        (job.conn, job.seq, out, Settle::Internal)
+                    })
+                    .collect();
+                shared.router.route(internals);
                 return false;
             }
         };
         shared.metrics.inc_batches();
         shared.metrics.inc_scored(jobs.len() as u64);
 
+        // Every response of the batch is rendered first (latency recorded
+        // right after each render) and then routed under one router lock.
+        let mut routed = Vec::with_capacity(jobs.len());
         let mut member_probas = vec![0.0f64; per_model.len()];
         for (row, &i) in full_rows.iter().enumerate() {
             let job = &jobs[i];
@@ -1516,16 +1526,8 @@ fn worker_loop(
                 &shared.names,
                 &member_probas,
             );
-            shared.router.complete(
-                job.conn,
-                job.seq,
-                line,
-                Settle::Scored {
-                    bytes: job.code.len() as u64,
-                    cached: false,
-                },
-            );
             shared.metrics.record_latency(job.t0.elapsed());
+            routed.push((job.conn, job.seq, line, scored_settle(job)));
         }
         // Degraded verdicts report the one member they ran and never enter
         // the cache: a later hit must replay full-ensemble bits.
@@ -1541,17 +1543,18 @@ fn worker_loop(
                 &degraded_names,
                 &primary[row..=row],
             );
-            shared.router.complete(
-                job.conn,
-                job.seq,
-                line,
-                Settle::Scored {
-                    bytes: job.code.len() as u64,
-                    cached: false,
-                },
-            );
             shared.metrics.record_latency(job.t0.elapsed());
+            routed.push((job.conn, job.seq, line, scored_settle(job)));
         }
+        shared.router.route(routed);
+    }
+}
+
+/// The settlement of a job a worker scored (never a cache replay).
+fn scored_settle(job: &Job) -> Settle {
+    Settle::Scored {
+        bytes: job.code.len() as u64,
+        cached: false,
     }
 }
 
@@ -1753,6 +1756,49 @@ mod tests {
         assert_eq!(stats.scheduler.queue_depth, 0);
         let lines: Vec<String> = rx.iter().collect();
         assert_eq!(lines.len(), codes.len(), "no dropped in-flight requests");
+    }
+
+    #[test]
+    fn finish_before_any_batch_scores_still_closes_after_every_response() {
+        // A linger far longer than the submits: the worker is still topping
+        // up its first batch when `finish` runs, so the router learns the
+        // submitted total before a single verdict routes. A malformed line
+        // in the middle answers inline, ahead of the seqs before it.
+        let (input, codes) = probe_lines(6);
+        let lingering = SchedulerOptions {
+            batch: 64,
+            cache_bytes: 0,
+            linger_micros: 1_000_000,
+            ..opts()
+        };
+        let scheduler = Scheduler::new(scanner(), &lingering);
+        let (mut conn, rx) = scheduler.connect(Protocol::V2);
+        let mut lines: Vec<&str> = input.lines().collect();
+        lines.insert(3, "not hex");
+        for line in &lines {
+            conn.submit(line, Admission::Block);
+        }
+        conn.finish();
+        assert_eq!(
+            scheduler.stats().scheduler.batches,
+            0,
+            "finished before scoring"
+        );
+        let got: Vec<String> = std::iter::from_fn(|| rx.recv()).collect();
+        assert_eq!(got.len(), lines.len());
+        for (i, line) in got.iter().enumerate() {
+            let head = format!("{{\"proto\":2,\"id\":\"{i}\",");
+            assert!(line.starts_with(&head), "{line}");
+            assert_eq!(line.contains("\"error\""), i == 3, "{line}");
+        }
+        assert_eq!(rx.recv(), None);
+        assert_eq!(scheduler.stats().scheduler.scored, codes.len() as u64);
+
+        // With nothing submitted, finishing closes the stream at once.
+        let (mut conn, rx) = scheduler.connect(Protocol::V2);
+        assert_eq!(rx.poll(), PolledResponse::Empty);
+        conn.finish();
+        assert_eq!(rx.poll(), PolledResponse::Closed);
     }
 
     #[test]
